@@ -12,7 +12,7 @@
 //! Regenerate the baseline with:
 //!
 //! ```text
-//! cargo bench --bench codec_kernels -- --save-baseline BENCH_codec_kernels.json
+//! cargo bench --bench codec_kernels -- --save-baseline ../../BENCH_codec_kernels.json
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

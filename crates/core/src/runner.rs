@@ -260,7 +260,9 @@ pub trait Experiment {
     /// Run the profiler over all clients and tier them (§4.2) — the one
     /// canonical implementation shared by every selection strategy.
     ///
-    /// Prefer [`Runner::profile`] in loops: it caches this result.
+    /// Synthesizes the experiment's data for a throwaway session (see
+    /// [`Experiment::profile_and_tier_with`]). Prefer [`Runner::profile`]
+    /// in loops: it caches this result.
     #[must_use]
     fn profile_and_tier(&self) -> (TierAssignment, ProfileResult) {
         self.profile_and_tier_with(&SessionOverrides::default())
@@ -271,12 +273,27 @@ pub trait Experiment {
     /// (links and encoded upload sizes), so a bandwidth-heterogeneous
     /// or compressed run is tiered by the latencies it will actually
     /// experience.
+    ///
+    /// This builds a whole session — data synthesis included — only to
+    /// profile it and drop it. A caller that already holds a fresh
+    /// session under the same comm axis should call
+    /// [`Experiment::profile_and_tier_on`] instead, as
+    /// [`Runner::run`] does.
     #[must_use]
     fn profile_and_tier_with(
         &self,
         overrides: &SessionOverrides,
     ) -> (TierAssignment, ProfileResult) {
-        let session = self.build_session(overrides);
+        self.profile_and_tier_on(&self.build_session(overrides))
+    }
+
+    /// Profile and tier an already-built `session` at round 0. Profiled
+    /// latencies read only the session's cluster (with its comm links)
+    /// and each client's training task, so any session this experiment
+    /// built under the same comm axis gives the same outcome, whatever
+    /// its aggregation mode or FedProx μ.
+    #[must_use]
+    fn profile_and_tier_on(&self, session: &Session) -> (TierAssignment, ProfileResult) {
         let profiler = Profiler::new(self.profiler_config());
         let result = profiler.profile(session.cluster(), |c| session.task_for(c));
         let assignment =
@@ -543,8 +560,15 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// cache is keyed by the spec's comm axis: switching codec or link
     /// model re-profiles (the latencies genuinely change); everything
     /// else reuses the measurement.
+    ///
+    /// Called before any run, this synthesizes the experiment's data
+    /// for a session of its own
+    /// ([`Experiment::profile_and_tier_with`]). A run that needs a
+    /// profile and finds none cached profiles the session it is about to
+    /// train instead, so the data is synthesized once per run; a later
+    /// call here then reuses that measurement.
     pub fn profile(&mut self) -> &(TierAssignment, ProfileResult) {
-        self.ensure_profile();
+        self.ensure_profile(None);
         self.profile
             .as_ref()
             .expect("profile cached above")
@@ -556,7 +580,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     /// so the measurement can be installed into other runners
     /// ([`Runner::install_profile`]) or parked in a cross-run cache.
     pub fn shared_profile(&mut self) -> SharedProfile {
-        self.ensure_profile();
+        self.ensure_profile(None);
         Arc::clone(&self.profile.as_ref().expect("profile cached above").1)
     }
 
@@ -569,17 +593,25 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
         self
     }
 
-    fn ensure_profile(&mut self) {
+    /// Measure the profile for the spec's comm axis unless it is
+    /// already cached: on `session` — freshly built from this runner's
+    /// spec — when given, else on a session of its own. The spec's
+    /// other overrides never reach the profiled latencies
+    /// ([`Experiment::profile_and_tier_on`]).
+    fn ensure_profile(&mut self, session: Option<&Session>) {
         let comm = self.spec.profile_axis();
-        let stale = self.profile.as_ref().is_some_and(|(c, _)| *c != comm);
-        if self.profile.is_none() || stale {
-            let overrides = SessionOverrides {
+        if self.profile.as_ref().is_some_and(|(c, _)| *c == comm) {
+            return;
+        }
+        let measured = match session {
+            Some(session) => self.exp.profile_and_tier_on(session),
+            None => self.exp.profile_and_tier_with(&SessionOverrides {
                 comm,
                 ..SessionOverrides::default()
-            };
-            self.profile = Some((comm, Arc::new(self.exp.profile_and_tier_with(&overrides))));
-            self.profile_runs += 1;
-        }
+            }),
+        };
+        self.profile = Some((comm, Arc::new(measured)));
+        self.profile_runs += 1;
     }
 
     /// The cached tier assignment (profiles on first use).
@@ -654,6 +686,7 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
             // then costs only a cache lookup).
             let clients = self.exp.num_clients() as u32;
             let t_prof = prof.begin();
+            self.ensure_profile(Some(&session));
             let profile = self.shared_profile();
             prof.end(Phase::Profile, 0, t_prof);
             session.trace_event(
@@ -688,6 +721,9 @@ impl<'a, E: Experiment + ?Sized> Runner<'a, E> {
     fn execute(&mut self, session: &mut Session) -> TrainingReport {
         let mut report = match self.spec.reprofile_every {
             None => {
+                if self.spec.selection.needs_profile() {
+                    self.ensure_profile(Some(session));
+                }
                 let seed = split_seed(self.exp.seed(), 0x5E1EC7);
                 let mut selector = self.build_selector(seed);
                 match self.spec.backend {

@@ -4,10 +4,11 @@ use crate::dataset::Dataset;
 use crate::partition::Partition;
 use crate::synth::Generator;
 use rand::seq::SliceRandom;
-use tifl_tensor::{seed_rng, split_seed};
+use rayon::prelude::*;
+use tifl_tensor::{seed_rng, split_seed, Matrix};
 
 /// One client's local data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientData {
     /// Local training samples (never leave the client).
     pub train: Dataset,
@@ -20,7 +21,7 @@ pub struct ClientData {
 
 /// A complete federated dataset: per-client data plus a balanced global
 /// test set for reporting headline accuracy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FederatedDataset {
     /// Per-client local data, indexed by client id.
     pub clients: Vec<ClientData>,
@@ -28,6 +29,52 @@ pub struct FederatedDataset {
     pub global_test: Dataset,
     /// Number of classes.
     pub classes: usize,
+}
+
+/// Synthesize every client's features for labels already drawn:
+/// `labels[cid]` is client `cid`'s `(train, test)` label pair.
+///
+/// Client `cid` samples its training rows from stream
+/// `split_seed(seed, 2 * cid)` and its holdout rows from
+/// `split_seed(seed, 2 * cid + 1)`, under writer style
+/// `gen.draw_style(cid)` when the spec has one. Every matrix is
+/// allocated here, on the calling thread; the rows are then filled in
+/// parallel, one client per job, on the ambient rayon pool. Each
+/// client owns its streams, so the result is the same at any pool
+/// width.
+#[must_use]
+pub fn synthesize_clients(
+    gen: &Generator,
+    labels: Vec<(Vec<usize>, Vec<usize>)>,
+    seed: u64,
+) -> Vec<ClientData> {
+    let spec = *gen.spec();
+    let zeros =
+        |y: Vec<usize>| Dataset::new(Matrix::zeros(y.len(), spec.features()), y, spec.classes);
+    let mut clients: Vec<ClientData> = labels
+        .into_iter()
+        .map(|(train, test)| ClientData {
+            train: zeros(train),
+            test: zeros(test),
+        })
+        .collect();
+    clients
+        .par_chunks_mut(1)
+        .enumerate()
+        .for_each(|(cid, client)| {
+            let ClientData { train, test } = &mut client[0];
+            let style = (spec.style_scale > 0.0).then(|| gen.draw_style(cid as u64));
+            let stream = 2 * cid as u64;
+            for (data, stream) in [(train, stream), (test, stream + 1)] {
+                gen.fill_with_labels_and_style(
+                    &data.y,
+                    style.as_deref(),
+                    split_seed(seed, stream),
+                    &mut data.x,
+                );
+            }
+        });
+    clients
 }
 
 impl FederatedDataset {
@@ -38,6 +85,10 @@ impl FederatedDataset {
     ///   label distribution, so skew is mirrored);
     /// * `global_test_per_class` — samples per class in the global test
     ///   set.
+    ///
+    /// Labels are drawn on the calling thread and the features filled
+    /// by [`synthesize_clients`], so the work spreads over the ambient
+    /// rayon pool and the result does not depend on its width.
     ///
     /// # Panics
     /// Panics if `test_fraction` is not in `[0, 1]` or a client has no
@@ -54,22 +105,12 @@ impl FederatedDataset {
             (0.0..=1.0).contains(&test_fraction),
             "test_fraction out of range"
         );
-        let clients = partition
+        let labels = partition
             .labels
             .iter()
             .enumerate()
             .map(|(cid, labels)| {
                 assert!(!labels.is_empty(), "client {cid} has no samples");
-                let style = if gen.spec().style_scale > 0.0 {
-                    Some(gen.draw_style(cid as u64))
-                } else {
-                    None
-                };
-                let train = gen.generate_with_labels_and_style(
-                    labels,
-                    style.as_deref(),
-                    split_seed(seed, 2 * cid as u64),
-                );
                 // Holdout labels: resample from the client's empirical
                 // label distribution.
                 let n_test = ((labels.len() as f64 * test_fraction).round() as usize).max(1);
@@ -77,14 +118,10 @@ impl FederatedDataset {
                 let test_labels: Vec<usize> = (0..n_test)
                     .map(|_| *labels.choose(&mut rng).expect("non-empty"))
                     .collect();
-                let test = gen.generate_with_labels_and_style(
-                    &test_labels,
-                    style.as_deref(),
-                    split_seed(seed, 2 * cid as u64 + 1),
-                );
-                ClientData { train, test }
+                (labels.clone(), test_labels)
             })
             .collect();
+        let clients = synthesize_clients(gen, labels, seed);
         let global_test = gen.generate_balanced(global_test_per_class, split_seed(seed, 0x6E57));
         Self {
             clients,
@@ -183,6 +220,32 @@ mod tests {
         let b = build(4);
         assert_eq!(a.global_test, b.global_test);
         assert_eq!(a.clients[3].train, b.clients[3].train);
+    }
+
+    /// The parallel fill draws exactly the samples of a per-client
+    /// `generate_with_labels_and_style` on each client's own streams.
+    #[test]
+    fn materialize_matches_per_client_generation() {
+        let mut spec = SynthSpec::family(SynthFamily::Mnist);
+        spec.style_scale = 0.5;
+        let gen = Generator::new(spec, 5);
+        let part = partition::class_limit(6, 20, 10, 2, &mut seed_rng(5));
+        let fed = FederatedDataset::materialize(&gen, &part, 0.2, 3, 9);
+        for (cid, client) in fed.clients.iter().enumerate() {
+            let style = gen.draw_style(cid as u64);
+            let train = gen.generate_with_labels_and_style(
+                &part.labels[cid],
+                Some(&style),
+                split_seed(9, 2 * cid as u64),
+            );
+            let test = gen.generate_with_labels_and_style(
+                &client.test.y,
+                Some(&style),
+                split_seed(9, 2 * cid as u64 + 1),
+            );
+            assert_eq!(client.train, train, "client {cid} train");
+            assert_eq!(client.test, test, "client {cid} test");
+        }
     }
 
     use tifl_tensor::seed_rng;

@@ -179,14 +179,38 @@ impl Generator {
         style: Option<&[f32]>,
         stream: u64,
     ) -> Dataset {
-        let dim = self.spec.features();
+        let mut x = Matrix::zeros(labels.len(), self.spec.features());
+        self.fill_with_labels_and_style(labels, style, stream, &mut x);
+        Dataset::new(x, labels.to_vec(), self.spec.classes)
+    }
+
+    /// Fill the rows of a caller-allocated `x` (`labels.len() x
+    /// features`) with the samples
+    /// [`Generator::generate_with_labels_and_style`] would draw for the
+    /// same arguments. Keeping allocation with the caller lets a
+    /// parallel fill run on worker threads without moving the dataset's
+    /// memory into their allocator arenas.
+    ///
+    /// # Panics
+    /// Panics if `x` has the wrong shape or a label is out of range.
+    pub fn fill_with_labels_and_style(
+        &self,
+        labels: &[usize],
+        style: Option<&[f32]>,
+        stream: u64,
+        x: &mut Matrix,
+    ) {
+        assert_eq!(x.rows(), labels.len(), "one row per label");
+        assert_eq!(
+            x.cols(),
+            self.spec.features(),
+            "row width is the feature count"
+        );
         let mut rng = seed_rng(split_seed(self.seed, stream));
-        let mut x = Matrix::zeros(labels.len(), dim);
         for (i, &label) in labels.iter().enumerate() {
             assert!(label < self.spec.classes, "label {label} out of range");
             self.sample_into(label, style, &mut rng, x.row_mut(i));
         }
-        Dataset::new(x, labels.to_vec(), self.spec.classes)
     }
 
     /// Generate `n` samples with uniform-random labels (stream-seeded).

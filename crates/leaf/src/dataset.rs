@@ -5,7 +5,7 @@ use rand::prelude::*;
 use rand_distr::LogNormal;
 use serde::{Deserialize, Serialize};
 use tifl_data::dataset::Dataset;
-use tifl_data::federated::{ClientData, FederatedDataset};
+use tifl_data::federated::{synthesize_clients, FederatedDataset};
 use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
 use tifl_tensor::{seed_rng, split_seed};
 
@@ -65,7 +65,9 @@ pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
     let count_dist = LogNormal::new((config.median_samples as f64).ln(), config.quantity_sigma)
         .expect("valid lognormal");
 
-    let clients: Vec<ClientData> = (0..config.num_clients)
+    // Labels are drawn per writer on the calling thread; the features
+    // (under each writer's style) are filled across the rayon pool.
+    let labels: Vec<(Vec<usize>, Vec<usize>)> = (0..config.num_clients)
         .map(|w| {
             let mut rng = seed_rng(split_seed(seed, 0x11F ^ w as u64));
 
@@ -87,22 +89,12 @@ pub fn build_femnist(config: &LeafDataConfig, seed: u64) -> FederatedDataset {
             let n_test = ((n as f64 * config.test_fraction).round() as usize).max(1);
             let test_labels: Vec<usize> =
                 (0..n_test).map(|_| subset[dist.sample(&mut rng)]).collect();
-
-            // Feature skew: per-writer style.
-            let style = gen.draw_style(w as u64);
-            let train = gen.generate_with_labels_and_style(
-                &labels,
-                Some(&style),
-                split_seed(seed, 2 * w as u64),
-            );
-            let test = gen.generate_with_labels_and_style(
-                &test_labels,
-                Some(&style),
-                split_seed(seed, 2 * w as u64 + 1),
-            );
-            ClientData { train, test }
+            (labels, test_labels)
         })
         .collect();
+    // Feature skew: FEMNIST specs carry a writer style, so every writer
+    // gets one.
+    let clients = synthesize_clients(&gen, labels, seed);
 
     let global_test: Dataset =
         gen.generate_balanced(config.global_test_per_class, split_seed(seed, 0x6E57));

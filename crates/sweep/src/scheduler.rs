@@ -727,7 +727,7 @@ fn execute_one(
     }
     let label = run.request.spec.display_label();
     let started = clock.now_sec();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(&run.request, cache))) {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(&run.request, cache, clock))) {
         Ok((report, metrics, mut phases)) => {
             let mut artifact = RunArtifact::new(run.key, run.request.clone(), report);
             artifact.metrics = Some(metrics);
@@ -765,15 +765,20 @@ fn execute_one(
 /// zero-capacity ring — the deterministic metrics snapshot rides into
 /// the artifact, no trace is stored — and the run's per-phase
 /// host-seconds come back alongside for the sweep's utilization lanes.
+/// The cache request — a fill, or a wait on another worker's fill —
+/// is timed on `clock` and charged to the run's [`Phase::Profile`].
 fn run_one(
     request: &RunRequest,
     cache: &ProfileCache,
+    clock: &dyn HostClock,
 ) -> (TrainingReport, MetricsSnapshot, PhaseTotals) {
     let experiment = request.experiment();
     let spec = request.spec.clone();
     let wants_shared = spec.selection.needs_profile() && spec.reprofile_every.is_none();
-    let observed = if wants_shared {
+    let mut fill_sec = 0.0;
+    let mut observed = if wants_shared {
         let comm = spec.profile_axis();
+        let t_fill = clock.now_sec();
         let profile = cache.get_or_compute(profile_key(&experiment, comm), || {
             let overrides = SessionOverrides {
                 comm,
@@ -781,10 +786,12 @@ fn run_one(
             };
             Arc::new(experiment.profile_and_tier_with(&overrides))
         });
+        fill_sec = clock.now_sec() - t_fill;
         Runner::with_shared_profile(&experiment, spec, profile).run_observed(0)
     } else {
         Runner::with_spec(&experiment, spec).run_observed(0)
     };
+    observed.host_phases.add(Phase::Profile, fill_sec);
     (observed.report, observed.metrics, observed.host_phases)
 }
 
@@ -952,6 +959,34 @@ mod tests {
             last_end = span.end_sec;
         }
         assert!(report.wall_clock_sec >= last_end);
+    }
+
+    #[test]
+    fn profile_cache_requests_are_charged_to_the_run() {
+        use tifl_obs::FrozenClock;
+        // On a serial sweep's frozen clock (one second per read) the
+        // cache request spans exactly one tick, fill or hit; the run's
+        // own lookup adds only microseconds, and vanilla runs profile
+        // nothing.
+        let mut manifest = tiny_manifest(&[Policy::uniform(5), Policy::fast(5)]);
+        manifest.axes.selection.push(SelectionStrategy::Vanilla);
+        let report = SweepScheduler::new(1)
+            .with_clock(FrozenClock::shared())
+            .run(&manifest, None, false);
+        assert_eq!(report.completed(), 3);
+        assert_eq!(report.profiles_computed, 1);
+        for outcome in &report.outcomes {
+            let profile_sec = outcome.phases().profile_sec;
+            if outcome.label() == "vanilla" {
+                assert_eq!(profile_sec, 0.0);
+            } else {
+                assert!(
+                    (1.0..1.5).contains(&profile_sec),
+                    "{}: profile_sec {profile_sec}",
+                    outcome.label()
+                );
+            }
+        }
     }
 
     #[test]

@@ -193,8 +193,9 @@ fn main() -> ExitCode {
             let mut request: RunRequest = read_json(path);
             if let Some(threads) = threads {
                 // Force the worker count: event-driven specs get their
-                // thread knob overridden; lockstep specs run with the
-                // parallel iterators capped at the same width.
+                // thread knob overridden; every run, data synthesis
+                // included, runs with the parallel iterators capped at
+                // the same width.
                 if request.spec.backend != ExecBackend::Lockstep {
                     request.spec.backend = ExecBackend::EventDriven { threads };
                 }
@@ -206,7 +207,7 @@ fn main() -> ExitCode {
                 request.spec.backend.label()
             );
             let report = match threads {
-                Some(n) if request.spec.backend == ExecBackend::Lockstep => {
+                Some(n) => {
                     let pool = rayon::ThreadPoolBuilder::new()
                         .num_threads(n)
                         .build()
