@@ -1,10 +1,38 @@
-//! Benchmarks of one local-training step for the experiment models —
-//! what the simulator's `flops_per_sample` abstraction stands in for.
+//! Benchmarks of one client's local training for the experiment models
+//! — what the simulator's `flops_per_sample` abstraction stands in for
+//! — and of a global-model evaluation, gated in CI.
+//!
+//! The `calibration/axpy_scalar` entry is the host-speed probe shared
+//! with `codec_kernels` and `data_build`: the perf gate divides every
+//! time by it before comparing against the checked-in
+//! `BENCH_nn_training.json`. Regenerate the baseline with:
+//!
+//! ```text
+//! cargo bench --bench nn_training -- --save-baseline ../../BENCH_nn_training.json
+//! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::time::Duration;
 use tifl_data::synth::{Generator, SynthFamily, SynthSpec};
 use tifl_fl::client::{local_train, ClientConfig};
 use tifl_nn::models::ModelSpec;
+use tifl_tensor::ops;
+
+const N: usize = 65_536;
+/// Every benchmark here, the probe included, measures this long: the
+/// training steps run ~1 ms, so short windows catch host noise.
+const MEASUREMENT: Duration = Duration::from_secs(2);
+
+fn bench_calibration(c: &mut Criterion) {
+    let x: Vec<f32> = (0..N).map(|i| (i as f32 * 0.013).sin()).collect();
+    let mut out = vec![0.0f32; N];
+    let mut calibration = c.benchmark_group("calibration");
+    calibration.measurement_time(MEASUREMENT);
+    calibration.bench_function("axpy_scalar", |b| {
+        b.iter(|| ops::axpy_scalar(black_box(0.25), black_box(&x), black_box(&mut out)));
+    });
+    calibration.finish();
+}
 
 fn bench_local_train(c: &mut Criterion) {
     let gen = Generator::new(SynthSpec::family(SynthFamily::Cifar10), 0);
@@ -12,7 +40,7 @@ fn bench_local_train(c: &mut Criterion) {
     let cfg = ClientConfig::paper_synthetic();
 
     let mut g = c.benchmark_group("local_train_100_samples");
-    g.sample_size(30);
+    g.measurement_time(MEASUREMENT);
     for (label, spec) in [
         (
             "logistic",
@@ -66,10 +94,22 @@ fn bench_evaluate(c: &mut Criterion) {
         classes: 10,
     };
     let mut model = spec.build(1);
-    c.bench_function("evaluate_500_samples", |b| {
-        b.iter(|| model.evaluate(black_box(&data.x), black_box(&data.y)));
+    // One thread: its 500-row GEMMs would otherwise split across the
+    // pool, and the gate would track how much of a shared host's second
+    // core the run got (-27%..+59% over five runs on a 2-vCPU VM).
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool builds");
+    c.bench_function("evaluate_500_samples_t1", |b| {
+        b.iter(|| pool.install(|| model.evaluate(black_box(&data.x), black_box(&data.y))));
     });
 }
 
-criterion_group!(benches, bench_local_train, bench_evaluate);
+criterion_group!(
+    benches,
+    bench_calibration,
+    bench_local_train,
+    bench_evaluate
+);
 criterion_main!(benches);

@@ -51,6 +51,19 @@ pub trait Layer: Send {
     /// records parameter gradients internally.
     fn backward(&mut self, grad: Matrix) -> Matrix;
 
+    /// Backward pass of a model's first layer: records the same parameter
+    /// gradients as [`Layer::backward`] but skips `dL/d(input)`, which
+    /// nothing consumes. The default runs `backward` and drops the result.
+    ///
+    /// This saves host time only. [`Layer::flops_per_sample`] still
+    /// counts the input-gradient GEMM: it feeds the simulator's latency
+    /// model, which charges the paper's per-sample cost of training the
+    /// whole model, so skipping the GEMM on the host leaves every run's
+    /// virtual time, and so its report, unchanged.
+    fn backward_params(&mut self, grad: Matrix) {
+        let _ = self.backward(grad);
+    }
+
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
         0
@@ -111,6 +124,16 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.w.cols()
     }
+
+    /// `dW = X^T * dY` and `db`, from the input cached by `forward`.
+    fn record_grads(&mut self, grad: &Matrix) {
+        let x = self
+            .cache_x
+            .take()
+            .expect("Dense::backward called without a preceding forward");
+        self.grad_w = ops::matmul_transpose_a(&x, grad);
+        self.grad_b = ops::col_sum(grad);
+    }
 }
 
 impl Layer for Dense {
@@ -126,13 +149,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad: Matrix) -> Matrix {
-        let x = self
-            .cache_x
-            .take()
-            .expect("Dense::backward called without a preceding forward");
-        self.grad_w = ops::matmul_transpose_a(&x, &grad);
-        self.grad_b = ops::col_sum(&grad);
+        self.record_grads(&grad);
         ops::matmul_transpose_b(&grad, &self.w)
+    }
+
+    fn backward_params(&mut self, grad: Matrix) {
+        self.record_grads(&grad);
     }
 
     fn param_count(&self) -> usize {
@@ -414,6 +436,35 @@ impl Conv2d {
         }
         x
     }
+
+    /// `dW` and `db` from the patches cached by `forward`; returns the
+    /// output gradient rearranged patch-major, `(batch*oh*ow, out_c)`.
+    fn record_grads(&mut self, grad: &Matrix) -> Matrix {
+        let cols = self
+            .cache_cols
+            .take()
+            .expect("Conv2d::backward called without a preceding forward");
+        let batch = self.cache_batch;
+        let out_shape = self.out_shape();
+        let oh_ow = out_shape.h * out_shape.w;
+
+        // Un-rearrange grad to patch-major (batch*oh*ow, out_c).
+        let mut gp = Matrix::zeros(batch * oh_ow, self.out_channels);
+        for s in 0..batch {
+            let grow = grad.row(s);
+            for p in 0..oh_ow {
+                let dst = gp.row_mut(s * oh_ow + p);
+                for (oc, d) in dst.iter_mut().enumerate() {
+                    *d = grow[oc * oh_ow + p];
+                }
+            }
+        }
+
+        // dW = gp^T * cols ; db = column sums of gp.
+        self.grad_w = ops::matmul_transpose_a(&gp, &cols);
+        self.grad_b = ops::col_sum(&gp);
+        gp
+    }
 }
 
 impl Layer for Conv2d {
@@ -450,32 +501,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: Matrix) -> Matrix {
-        let cols = self
-            .cache_cols
-            .take()
-            .expect("Conv2d::backward called without a preceding forward");
-        let batch = self.cache_batch;
-        let out_shape = self.out_shape();
-        let oh_ow = out_shape.h * out_shape.w;
-
-        // Un-rearrange grad to patch-major (batch*oh*ow, out_c).
-        let mut gp = Matrix::zeros(batch * oh_ow, self.out_channels);
-        for s in 0..batch {
-            let grow = grad.row(s);
-            for p in 0..oh_ow {
-                let dst = gp.row_mut(s * oh_ow + p);
-                for (oc, d) in dst.iter_mut().enumerate() {
-                    *d = grow[oc * oh_ow + p];
-                }
-            }
-        }
-
-        // dW = gp^T * cols ; db = column sums of gp.
-        self.grad_w = ops::matmul_transpose_a(&gp, &cols);
-        self.grad_b = ops::col_sum(&gp);
+        let gp = self.record_grads(&grad);
         // dcols = gp * W
         let dcols = ops::matmul(&gp, &self.w);
-        self.col2im(&dcols, batch)
+        self.col2im(&dcols, self.cache_batch)
+    }
+
+    fn backward_params(&mut self, grad: Matrix) {
+        let _ = self.record_grads(&grad);
     }
 
     fn param_count(&self) -> usize {

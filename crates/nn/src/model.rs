@@ -56,12 +56,19 @@ impl Sequential {
             .fold(x, |acc, layer| layer.forward(acc, train))
     }
 
-    /// Backward pass through all layers (call after `forward`).
-    pub fn backward(&mut self, grad: Matrix) -> Matrix {
-        self.layers
+    /// Backward pass through all layers (call after `forward`): records
+    /// every layer's parameter gradients. The first layer runs
+    /// [`Layer::backward_params`], since the gradient of the model's
+    /// input has no consumer.
+    pub fn backward(&mut self, grad: Matrix) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let grad = rest
             .iter_mut()
             .rev()
-            .fold(grad, |acc, layer| layer.backward(acc))
+            .fold(grad, |acc, layer| layer.backward(acc));
+        first.backward_params(grad);
     }
 
     /// Export all parameters as a flat vector.
@@ -161,7 +168,8 @@ pub struct EvalResult {
 mod tests {
     use super::*;
     use crate::layer::{Dense, Relu};
-    use crate::optim::Sgd;
+    use crate::models::ModelSpec;
+    use crate::optim::{RmsProp, Sgd};
     use tifl_tensor::seed_rng;
 
     fn tiny_mlp(seed: u64) -> Sequential {
@@ -242,6 +250,60 @@ mod tests {
             m.params()
         };
         assert_eq!(run(), run());
+    }
+
+    /// One optimiser step that runs [`Layer::backward`] on every layer,
+    /// the first layer's unused input gradient included.
+    fn step_with_full_backward(
+        m: &mut Sequential,
+        x: Matrix,
+        labels: &[usize],
+        opt: &mut dyn Optimizer,
+    ) {
+        let logits = m.forward(x, true);
+        let (_, dlogits) = softmax_cross_entropy(&logits, labels);
+        let _ = m
+            .layers
+            .iter_mut()
+            .rev()
+            .fold(dlogits, |grad, layer| layer.backward(grad));
+        let grads = m.grads();
+        let mut params = m.params();
+        opt.step(&mut params, &grads);
+        m.set_params(&params);
+    }
+
+    fn param_bits(m: &Sequential) -> Vec<u32> {
+        m.params().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Five RMSprop steps of `train_batch` leave the same parameter
+    /// bits as five steps through [`step_with_full_backward`].
+    fn assert_param_only_backward_matches(build: impl Fn() -> Sequential, width: usize) {
+        use rand::Rng;
+        let (mut fast, mut full) = (build(), build());
+        let (mut opt_fast, mut opt_full) = (RmsProp::new(0.01), RmsProp::new(0.01));
+        let mut rng = seed_rng(10);
+        for _ in 0..5 {
+            // ReLU-style exact zeros in the input, as after a masked layer.
+            let x = Matrix::from_fn(6, width, |_, _| rng.gen::<f32>().max(0.5) - 0.5);
+            let labels: Vec<usize> = (0..6).map(|_| rng.gen_range(0..3)).collect();
+            fast.train_batch(x.clone(), &labels, &mut opt_fast);
+            step_with_full_backward(&mut full, x, &labels, &mut opt_full);
+            assert_eq!(param_bits(&fast), param_bits(&full));
+        }
+    }
+
+    #[test]
+    fn first_layer_param_only_backward_matches_full_backward_bitwise() {
+        assert_param_only_backward_matches(|| tiny_mlp(8), 4);
+        let cnn = ModelSpec::Cnn {
+            side: 8,
+            channels: (2, 4),
+            hidden: 8,
+            classes: 3,
+        };
+        assert_param_only_backward_matches(|| cnn.build(9), cnn.input_features());
     }
 
     #[test]

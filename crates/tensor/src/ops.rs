@@ -1,15 +1,178 @@
 //! Matrix and vector kernels.
 //!
-//! `matmul` parallelises over output rows with rayon once the problem is
-//! large enough to amortise the fork-join overhead; everything else is
-//! simple, cache-friendly sequential code (batch sizes in the TiFL
-//! experiments are small, so the GEMMs dominate).
+//! The three GEMMs ([`matmul`], [`matmul_transpose_a`],
+//! [`matmul_transpose_b`]) share one register-blocked core (the
+//! micro-kernel scheme of Goto & van de Geijn, "Anatomy of
+//! High-Performance Matrix Multiplication", ACM TOMS 2008): an
+//! `MR x NR` tile of accumulators stays in registers while the core
+//! streams a packed `MR`-row block of `A` against an `NR`-column panel
+//! of `B`. `matmul_transpose_b` runs the core over a transposed copy of
+//! its `b`.
+//!
+//! The blocking changes where partial sums live, never which operations
+//! run. Every output starts at `0.0` and adds its `k` products in
+//! ascending `k` order, each a plain multiply then add: no FMA, no
+//! reassociation. `matmul` and `matmul_transpose_a` skip a zero
+//! multiplier, as their plain loops always did, by adding `0.0` in its
+//! place (a lane select). The results are bit-for-bit those of the plain
+//! loops kept as [`matmul_ref`], [`matmul_transpose_a_ref`] and
+//! [`matmul_transpose_b_ref`], which exist only for the equivalence
+//! tests to compare against. The one freedom is which NaN a NaN result
+//! carries: Rust leaves the sign and payload of a NaN produced by
+//! arithmetic unspecified, so the tests compare NaN positions, not NaN
+//! bits.
+//!
+//! Problems of at least `PAR_THRESHOLD` multiply-adds split their
+//! output rows across the rayon pool in whole row blocks. Rows are
+//! independent, so results do not depend on the thread count. The
+//! element-wise kernels are 8-wide unrolled (SSE2 with the `simd`
+//! feature) and pinned to their scalar references the same way.
 
 use crate::Matrix;
 use rayon::prelude::*;
 
 /// Problems smaller than this many multiply-adds run sequentially.
 const PAR_THRESHOLD: usize = 64 * 64 * 64;
+
+/// Rows of the register tile.
+const MR: usize = 4;
+/// Columns of the register tile.
+const NR: usize = 8;
+
+/// `out (m x n) = A (m x k) * B (k x n)` on the register-blocked core.
+///
+/// `a(i, p)` reads element `(i, p)` of `A`; `b` is `B` row-major. With
+/// `SKIP_ZERO` a zero multiplier `A(i, p)` adds `0.0` instead of
+/// `A(i, p) * B(p, j)` (a lane select). That equals skipping the term
+/// even when `B` holds NaN or ±inf: an accumulator that starts at `+0.0`
+/// never becomes `-0.0`, so adding `+0.0` leaves it unchanged.
+fn gemm<const SKIP_ZERO: bool>(
+    (m, n, k): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32 + Sync,
+    b: &[f32],
+) -> Matrix {
+    debug_assert_eq!(b.len(), k * n);
+    let mut out = Matrix::zeros(m, n);
+    if m == 0 || n == 0 || k == 0 {
+        return out;
+    }
+    // The last, partial column panel of `B`, zero-padded to `NR` wide.
+    let tail_cols = n % NR;
+    let mut tail = vec![0.0f32; if tail_cols == 0 { 0 } else { k * NR }];
+    for (dst, row) in tail.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+        dst[..tail_cols].copy_from_slice(&row[n - tail_cols..]);
+    }
+
+    let blocks = m.div_ceil(MR);
+    let parallel = m * n * k >= PAR_THRESHOLD;
+    let blocks_per_job = if parallel {
+        blocks.div_ceil(rayon::current_num_threads().max(1))
+    } else {
+        blocks
+    };
+    let job = |(job_idx, rows): (usize, &mut [f32])| {
+        let mut a_panel = Vec::new();
+        for (blk, out_rows) in rows.chunks_mut(MR * n).enumerate() {
+            // `A(i0 + ii, p)` at `a_panel[p * mr + ii]`.
+            let i0 = (job_idx * blocks_per_job + blk) * MR;
+            let mr = out_rows.len() / n;
+            a_panel.resize(k * mr, 0.0);
+            for (p, dst) in a_panel.chunks_exact_mut(mr).enumerate() {
+                for (ii, d) in dst.iter_mut().enumerate() {
+                    *d = a(i0 + ii, p);
+                }
+            }
+            let packed = (&a_panel[..], b, &tail[..]);
+            match mr {
+                1 => row_block::<1, SKIP_ZERO>(packed, out_rows),
+                2 => row_block::<2, SKIP_ZERO>(packed, out_rows),
+                3 => row_block::<3, SKIP_ZERO>(packed, out_rows),
+                _ => row_block::<MR, SKIP_ZERO>(packed, out_rows),
+            }
+        }
+    };
+    if parallel {
+        out.as_mut_slice()
+            .par_chunks_mut(blocks_per_job * MR * n)
+            .enumerate()
+            .for_each(job);
+    } else {
+        job((0, out.as_mut_slice()));
+    }
+    out
+}
+
+/// `R` output rows: the packed row block of `A` (`R` values per `p`)
+/// against every `NR`-wide column panel of `B`, read in place, and the
+/// zero-padded `tail` panel.
+fn row_block<const R: usize, const SKIP_ZERO: bool>(
+    (a_panel, b, tail): (&[f32], &[f32], &[f32]),
+    out_rows: &mut [f32],
+) {
+    let n = out_rows.len() / R;
+    let (a_panel, _) = a_panel.as_chunks::<R>();
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        // Fixed-size stores for full panels: no `memcpy` call.
+        if nr == NR {
+            let acc = tile::<R, SKIP_ZERO>(a_panel, b, n, j0);
+            for (out_row, acc_row) in out_rows.chunks_exact_mut(n).zip(&acc) {
+                out_row[j0..j0 + NR].copy_from_slice(acc_row);
+            }
+        } else {
+            let acc = tile::<R, SKIP_ZERO>(a_panel, tail, NR, 0);
+            for (out_row, acc_row) in out_rows.chunks_exact_mut(n).zip(&acc) {
+                out_row[j0..].copy_from_slice(&acc_row[..nr]);
+            }
+        }
+    }
+}
+
+/// The `R x NR` register tile over `B(p, j0..j0 + NR)` =
+/// `b[p * stride + j0..][..NR]`: each output accumulates its products
+/// from `0.0` in ascending `p`.
+#[inline(always)]
+fn tile<const R: usize, const SKIP_ZERO: bool>(
+    a_panel: &[[f32; R]],
+    b: &[f32],
+    stride: usize,
+    j0: usize,
+) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    for (ap, b_row) in a_panel.iter().zip(b.chunks_exact(stride)) {
+        let bp: &[f32; NR] = b_row[j0..j0 + NR].try_into().expect("a slice of NR floats");
+        for i in 0..R {
+            // All ones unless this multiplier is skipped.
+            let keep = if SKIP_ZERO && ap[i] == 0.0 {
+                0
+            } else {
+                u32::MAX
+            };
+            for j in 0..NR {
+                acc[i][j] += f32::from_bits((ap[i] * bp[j]).to_bits() & keep);
+            }
+        }
+    }
+    acc
+}
+
+/// [`gemm`] skipping the zero multipliers of `A`, whose elements are
+/// `a_elems` in any order. The lane select runs only where it can change
+/// a result: `0 * ±inf` and `0 * NaN` are the only products of a zero
+/// that are not `±0`, so when `A` has no zero or `b` is all finite the
+/// plain core already equals skipping.
+fn gemm_skipping_zeros(
+    shape: (usize, usize, usize),
+    (a_elems, a): (&[f32], impl Fn(usize, usize) -> f32 + Sync),
+    b: &[f32],
+) -> Matrix {
+    let has_zero = a_elems.iter().fold(false, |zero, &x| zero | (x == 0.0));
+    if has_zero && !b.iter().fold(true, |finite, x| finite & x.is_finite()) {
+        gemm::<true>(shape, a, b)
+    } else {
+        gemm::<false>(shape, a, b)
+    }
+}
 
 /// `a (m x k) * b (k x n) -> (m x n)`.
 ///
@@ -20,42 +183,16 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-
-    let mut out = Matrix::zeros(m, n);
-    let b_data = b.as_slice();
-
-    let kernel = |(row_idx, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(row_idx);
-        // ikj loop order: streams through b rows, vectorises the inner j loop.
-        for (ki, &a_v) in a_row.iter().enumerate() {
-            if a_v == 0.0 {
-                continue;
-            }
-            let b_row = &b_data[ki * n..(ki + 1) * n];
-            for (o, &b_v) in out_row.iter_mut().zip(b_row) {
-                *o += a_v * b_v;
-            }
-        }
-    };
-
-    if m * n * k >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    }
-    out
+    let a = a.as_slice();
+    gemm_skipping_zeros((m, n, k), (a, |i, p| a[i * k + p]), b.as_slice())
 }
 
-/// `a * b^T` without materialising the transpose.
+/// `a * b^T`.
 ///
 /// Shape: `a (m x k) * b (n x k) -> (m x n)`. This is the backward-pass
-/// workhorse (`dX = dY * W^T`).
+/// workhorse (`dX = dY * W^T`). The core runs over a transposed copy of
+/// `b`, so every output is the same ascending-`k` sum as
+/// [`matmul_transpose_b_ref`]'s dot product; no multiplier is skipped.
 #[must_use]
 pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
@@ -64,32 +201,9 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
         k, k2,
         "matmul_transpose_b inner dimension mismatch: {k} vs {k2}"
     );
-
-    let mut out = Matrix::zeros(m, n);
-    let kernel = |(row_idx, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(row_idx);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
-    };
-
-    if m * n * k >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    } else {
-        out.as_mut_slice()
-            .chunks_mut(n)
-            .enumerate()
-            .for_each(kernel);
-    }
-    out
+    let a = a.as_slice();
+    let bt = b.transpose();
+    gemm::<false>((m, n, k), |i, p| a[i * k + p], bt.as_slice())
 }
 
 /// `a^T * b` without materialising the transpose.
@@ -104,9 +218,76 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
         k, k2,
         "matmul_transpose_a inner dimension mismatch: {k} vs {k2}"
     );
+    let a = a.as_slice();
+    gemm_skipping_zeros((m, n, k), (a, |i, p| a[p * m + i]), b.as_slice())
+}
 
+/// Reference for [`matmul`]: the plain `ikj` loop, skipping zero
+/// multipliers. Kept only for the bitwise equivalence tests.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+#[must_use]
+pub fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    let (k2, n) = b.shape();
+    assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     let mut out = Matrix::zeros(m, n);
-    // Accumulate rank-1 updates; sequential over k keeps this deterministic.
+    for (row_idx, out_row) in out.as_mut_slice().chunks_mut(n.max(1)).enumerate() {
+        for (ki, &a_v) in a.row(row_idx).iter().enumerate() {
+            if a_v == 0.0 {
+                continue;
+            }
+            for (o, &b_v) in out_row.iter_mut().zip(b.row(ki)) {
+                *o += a_v * b_v;
+            }
+        }
+    }
+    out
+}
+
+/// Reference for [`matmul_transpose_b`]: one sequential dot product per
+/// output. Kept only for the bitwise equivalence tests.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+#[must_use]
+pub fn matmul_transpose_b_ref(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    let (n, k2) = b.shape();
+    assert_eq!(
+        k, k2,
+        "matmul_transpose_b inner dimension mismatch: {k} vs {k2}"
+    );
+    let mut out = Matrix::zeros(m, n);
+    for (row_idx, out_row) in out.as_mut_slice().chunks_mut(n.max(1)).enumerate() {
+        let a_row = a.row(row_idx);
+        for (j, o) in out_row.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (&x, &y) in a_row.iter().zip(b.row(j)) {
+                acc += x * y;
+            }
+            *o = acc;
+        }
+    }
+    out
+}
+
+/// Reference for [`matmul_transpose_a`]: rank-1 updates in ascending
+/// `k`, skipping zero multipliers. Kept only for the bitwise equivalence
+/// tests.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+#[must_use]
+pub fn matmul_transpose_a_ref(a: &Matrix, b: &Matrix) -> Matrix {
+    let (k, m) = a.shape();
+    let (k2, n) = b.shape();
+    assert_eq!(
+        k, k2,
+        "matmul_transpose_a inner dimension mismatch: {k} vs {k2}"
+    );
+    let mut out = Matrix::zeros(m, n);
     for ki in 0..k {
         let a_row = a.row(ki);
         let b_row = b.row(ki);

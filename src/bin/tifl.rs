@@ -36,6 +36,7 @@
 use std::process::ExitCode;
 use tifl::prelude::*;
 
+/// Print the usage text; a usage error exits 2.
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tifl init <config.json>\n  tifl init --spec <run.json>\n  \
@@ -52,7 +53,14 @@ fn usage() -> ExitCode {
          tifl report <store-dir> [--format human|json] [--target ACC]\n  \
          tifl lint [--deny] [--format human|json] [path]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
+}
+
+/// Report an unreadable or malformed input file; exits 2, like a usage
+/// error.
+fn input_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::from(2)
 }
 
 fn policy_by_name(name: &str, m: usize) -> Option<Policy> {
@@ -91,13 +99,15 @@ fn print_report(report: &TrainingReport) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
-        [cmd, path] if cmd == "init" => {
+        // A path starting with `-` is a mistyped flag (`init --help`),
+        // never a file to create.
+        [cmd, path] if cmd == "init" && !path.starts_with('-') => {
             let cfg = ExperimentConfig::cifar10_resource_het(42);
             write_json(path, &cfg);
             println!("wrote template config to {path}");
             ExitCode::SUCCESS
         }
-        [cmd, flag, path] if cmd == "init" && flag == "--sweep" => {
+        [cmd, flag, path] if cmd == "init" && flag == "--sweep" && !path.starts_with('-') => {
             // A 6-run template: 3 selection strategies × 2 seeds over
             // the §5.1 resource-heterogeneity topology (the CI smoke
             // manifest). The tiered cells share one profiling pass per
@@ -125,7 +135,7 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        [cmd, flag, path] if cmd == "init" && flag == "--spec" => {
+        [cmd, flag, path] if cmd == "init" && flag == "--spec" && !path.starts_with('-') => {
             // A template showing the composable axes: adaptive tiering,
             // FedProx local training, paper-default aggregation.
             let request = RunRequest {
@@ -144,7 +154,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         [cmd, path] if cmd == "profile" => {
-            let cfg: ExperimentConfig = read_json(path);
+            let cfg: ExperimentConfig = match read_json(path) {
+                Ok(v) => v,
+                Err(e) => return input_error(&e),
+            };
             let (tiers, profile) = cfg.profile_and_tier();
             println!(
                 "profiled {} clients in {:.0} virtual s ({} dropouts)",
@@ -162,7 +175,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         [cmd, path] if cmd == "estimate" => {
-            let cfg: ExperimentConfig = read_json(path);
+            let cfg: ExperimentConfig = match read_json(path) {
+                Ok(v) => v,
+                Err(e) => return input_error(&e),
+            };
             let mut runner = cfg.runner();
             println!("{:<10} {:>16}", "policy", "estimate [s]");
             let num_tiers = runner.tiers().num_tiers();
@@ -190,7 +206,10 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            let mut request: RunRequest = read_json(path);
+            let mut request: RunRequest = match read_json(path) {
+                Ok(v) => v,
+                Err(e) => return input_error(&e),
+            };
             if let Some(threads) = threads {
                 // Force the worker count: event-driven specs get their
                 // thread knob overridden; every run, data synthesis
@@ -268,7 +287,10 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            let manifest: SweepManifest = read_json(path);
+            let manifest: SweepManifest = match read_json(path) {
+                Ok(v) => v,
+                Err(e) => return input_error(&e),
+            };
             let store = RunStore::open(&out).unwrap_or_else(|e| panic!("opening {out}: {e}"));
             let scheduler = SweepScheduler::new(workers);
             let expanded = manifest.expand();
@@ -365,8 +387,10 @@ fn main() -> ExitCode {
             // regenerated bit-for-bit. An artifact's stored metrics
             // double as a determinism check against the regenerated
             // run.
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+            let text = match std::fs::read_to_string(path) {
+                Ok(text) => text,
+                Err(e) => return input_error(&format!("parsing {path}: {e}")),
+            };
             let (request, stored_metrics) = match serde_json::from_str::<RunArtifact>(&text) {
                 Ok(artifact) => {
                     let Some(metrics) = artifact.metrics else {
@@ -390,7 +414,9 @@ fn main() -> ExitCode {
                             );
                             return ExitCode::FAILURE;
                         }
-                        panic!("parsing {path}: not an artifact ({artifact_err}) nor a RunRequest ({e})")
+                        return input_error(&format!(
+                            "parsing {path}: not an artifact ({artifact_err}) nor a RunRequest ({e})"
+                        ));
                     }
                 },
             };
@@ -448,17 +474,21 @@ fn main() -> ExitCode {
             // Operands are store artifacts or bare training reports
             // (`tifl run --spec --out`); either way the diff walks the
             // digest chains — nothing is re-run.
-            let load = |path: &str| -> TrainingReport {
+            let load = |path: &str| -> Result<TrainingReport, String> {
                 let text =
-                    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+                    std::fs::read_to_string(path).map_err(|e| format!("parsing {path}: {e}"))?;
                 match serde_json::from_str::<RunArtifact>(&text) {
-                    Ok(artifact) => artifact.report,
-                    Err(_) => serde_json::from_str::<TrainingReport>(&text).unwrap_or_else(|e| {
-                        panic!("parsing {path} as a run artifact or training report: {e}")
+                    Ok(artifact) => Ok(artifact.report),
+                    Err(_) => serde_json::from_str::<TrainingReport>(&text).map_err(|e| {
+                        format!("parsing {path} as a run artifact or training report: {e}")
                     }),
                 }
             };
-            let diff = load(a).diff(a, &load(b), b);
+            let (report_a, report_b) = match (load(a), load(b)) {
+                (Ok(ra), Ok(rb)) => (ra, rb),
+                (Err(e), _) | (_, Err(e)) => return input_error(&e),
+            };
+            let diff = report_a.diff(a, &report_b, b);
             match format.as_str() {
                 "human" => print!("{}", diff.render_text()),
                 "json" => println!(
@@ -590,7 +620,10 @@ fn main() -> ExitCode {
         }
         [cmd, rest @ ..] if cmd == "lint" => ExitCode::from(tifl::lint::cli::run(rest)),
         [cmd, path, policy] if cmd == "run" => {
-            let cfg: ExperimentConfig = read_json(path);
+            let cfg: ExperimentConfig = match read_json(path) {
+                Ok(v) => v,
+                Err(e) => return input_error(&e),
+            };
             let mut runner = cfg.runner();
             let report = if policy == "adaptive" {
                 runner.adaptive(None).run()
@@ -607,9 +640,11 @@ fn main() -> ExitCode {
     }
 }
 
-fn read_json<T: serde::Deserialize>(path: &str) -> T {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
+/// Read and deserialize a JSON input file. The error reads
+/// `parsing <path>: <cause>`, for a missing file as for malformed JSON.
+fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("parsing {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn write_json<T: serde::Serialize>(path: &str, value: &T) {

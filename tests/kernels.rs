@@ -2,6 +2,11 @@
 //! kernels against their scalar reference implementations, plus the
 //! documented non-finite contract of the codec kernels.
 //!
+//! The register-blocked GEMMs are pinned to the plain loops they
+//! replaced (`ops::*_ref`) on shapes around the tile edges, on exact
+//! zeros, `-0.0` and NaN/±inf operands, and on both sides of the
+//! row-parallel threshold under 1- and 4-thread pools.
+//!
 //! These run against whichever dispatch the build selected: the default
 //! 4/8-wide unrolled loops, or (under `cargo test --features simd`) the
 //! SSE2 kernels — so one suite pins both tiers to the scalar reference.
@@ -12,7 +17,7 @@
 
 use proptest::prelude::*;
 use tifl::comm::{CodecSpec, EncodeScratch};
-use tifl::tensor::{codec, ops, ParamVec};
+use tifl::tensor::{codec, ops, Matrix, ParamVec};
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -31,7 +36,118 @@ fn inject_specials(xs: &mut [f32], tags: &[u8]) {
     }
 }
 
+/// A `rows x cols` operand: `vals` cycled, then per `tags` element an
+/// exact zero (ReLU-style), a `-0.0`, or (when `specials`) NaN/±inf.
+fn operand(rows: usize, cols: usize, vals: &[f32], tags: &[u8], specials: bool) -> Matrix {
+    let len = rows * cols;
+    let mut data: Vec<f32> = vals.iter().copied().cycle().take(len).collect();
+    let tags: Vec<u8> = tags.iter().copied().cycle().take(len).collect();
+    for (x, &t) in data.iter_mut().zip(&tags) {
+        match t {
+            3..=12 => *x = 0.0,
+            13 => *x = -0.0,
+            _ => {}
+        }
+    }
+    if specials {
+        inject_specials(&mut data, &tags);
+    }
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// Bit patterns of a GEMM result, every NaN as `f32::NAN`.
+///
+/// Which NaN a NaN-producing multiply or add returns (its sign and
+/// payload) is not specified by Rust's float semantics: the compiler may
+/// swap the operands of a commutative `+` or `*`, and x86 then returns
+/// the other operand's NaN or the default `-NaN`. Every non-NaN result,
+/// `-0.0` included, and the position of every NaN must match exactly.
+fn gemm_bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice()
+        .iter()
+        .map(|&x| if x.is_nan() { f32::NAN } else { x }.to_bits())
+        .collect()
+}
+
+/// Every blocked GEMM equals its reference bit for bit on an
+/// `m x n` product over `k`, in the calling thread's pool.
+fn assert_gemms_match_refs(
+    (m, n, k): (usize, usize, usize),
+    (va, vb): (&[f32], &[f32]),
+    (ta, tb): (&[u8], &[u8]),
+    specials: bool,
+) {
+    let a = operand(m, k, va, ta, specials);
+    let b = operand(k, n, vb, tb, specials);
+    assert_eq!(
+        gemm_bits(&ops::matmul(&a, &b)),
+        gemm_bits(&ops::matmul_ref(&a, &b)),
+        "matmul {m}x{n}x{k}"
+    );
+    let at = operand(k, m, va, ta, specials);
+    assert_eq!(
+        gemm_bits(&ops::matmul_transpose_a(&at, &b)),
+        gemm_bits(&ops::matmul_transpose_a_ref(&at, &b)),
+        "matmul_transpose_a {m}x{n}x{k}"
+    );
+    let bt = operand(n, k, vb, tb, specials);
+    assert_eq!(
+        gemm_bits(&ops::matmul_transpose_b(&a, &bt)),
+        gemm_bits(&ops::matmul_transpose_b_ref(&a, &bt)),
+        "matmul_transpose_b {m}x{n}x{k}"
+    );
+}
+
+/// [`assert_gemms_match_refs`] under a 1- and a 4-thread pool.
+fn assert_gemms_match_refs_in_pools(
+    shape: (usize, usize, usize),
+    vals: (&[f32], &[f32]),
+    tags: (&[u8], &[u8]),
+    specials: bool,
+) {
+    for threads in [1, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        pool.install(|| assert_gemms_match_refs(shape, vals, tags, specials));
+    }
+}
+
 proptest! {
+    /// The blocked GEMMs are bitwise their references on shapes around
+    /// the register tile's row and column tails, 0 and 1 included.
+    #[test]
+    fn gemms_match_references_bitwise_around_tile_tails(
+        m in 0usize..14,
+        n in 0usize..20,
+        k in 0usize..12,
+        va in prop::collection::vec(-8.0f32..8.0, 1..40),
+        vb in prop::collection::vec(-8.0f32..8.0, 1..40),
+        ta in prop::collection::vec(0u8..40, 1..60),
+        tb in prop::collection::vec(0u8..40, 1..60),
+        specials in 0u8..2,
+    ) {
+        assert_gemms_match_refs_in_pools((m, n, k), (&va, &vb), (&ta, &tb), specials == 1);
+    }
+
+    /// The same on products straddling the row-parallel threshold
+    /// (64^3 multiply-adds): the split is by whole rows, so neither
+    /// side nor the thread count changes a bit.
+    #[test]
+    fn gemms_match_references_bitwise_around_the_parallel_threshold(
+        m in 60usize..72,
+        n in 60usize..72,
+        k in 60usize..72,
+        va in prop::collection::vec(-8.0f32..8.0, 1..40),
+        vb in prop::collection::vec(-8.0f32..8.0, 1..40),
+        ta in prop::collection::vec(0u8..200, 1..60),
+        tb in prop::collection::vec(0u8..200, 1..60),
+        specials in 0u8..2,
+    ) {
+        assert_gemms_match_refs_in_pools((m, n, k), (&va, &vb), (&ta, &tb), specials == 1);
+    }
+
     /// `ops::axpy` (unrolled or SIMD) is bitwise `ops::axpy_scalar`,
     /// including NaN/±inf propagation.
     #[test]
