@@ -36,8 +36,7 @@
 use std::process::ExitCode;
 use tifl::prelude::*;
 
-/// Print the usage text; a usage error exits 2.
-fn usage() -> ExitCode {
+fn print_usage() {
     eprintln!(
         "usage:\n  tifl init <config.json>\n  tifl init --spec <run.json>\n  \
          tifl init --sweep <sweep.json>\n  tifl profile <config.json>\n  \
@@ -53,11 +52,14 @@ fn usage() -> ExitCode {
          tifl report <store-dir> [--format human|json] [--target ACC]\n  \
          tifl lint [--deny] [--format human|json] [path]"
     );
-    ExitCode::from(2)
 }
 
-/// Report an unreadable or malformed input file; exits 2, like a usage
-/// error.
+fn usage() -> ExitCode {
+    print_usage();
+    ExitCode::FAILURE
+}
+
+/// Report an unreadable or malformed input file; exits 2.
 fn input_error(message: &str) -> ExitCode {
     eprintln!("error: {message}");
     ExitCode::from(2)
@@ -100,14 +102,18 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         // A path starting with `-` is a mistyped flag (`init --help`),
-        // never a file to create.
-        [cmd, path] if cmd == "init" && !path.starts_with('-') => {
+        // never a file to create: print usage, exit 2, write nothing.
+        [cmd, .., path] if cmd == "init" && path.starts_with('-') => {
+            print_usage();
+            ExitCode::from(2)
+        }
+        [cmd, path] if cmd == "init" => {
             let cfg = ExperimentConfig::cifar10_resource_het(42);
             write_json(path, &cfg);
             println!("wrote template config to {path}");
             ExitCode::SUCCESS
         }
-        [cmd, flag, path] if cmd == "init" && flag == "--sweep" && !path.starts_with('-') => {
+        [cmd, flag, path] if cmd == "init" && flag == "--sweep" => {
             // A 6-run template: 3 selection strategies × 2 seeds over
             // the §5.1 resource-heterogeneity topology (the CI smoke
             // manifest). The tiered cells share one profiling pass per
@@ -135,7 +141,7 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        [cmd, flag, path] if cmd == "init" && flag == "--spec" && !path.starts_with('-') => {
+        [cmd, flag, path] if cmd == "init" && flag == "--spec" => {
             // A template showing the composable axes: adaptive tiering,
             // FedProx local training, paper-default aggregation.
             let request = RunRequest {

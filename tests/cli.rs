@@ -72,3 +72,15 @@ fn init_rejects_a_flag_where_a_path_belongs() {
     assert!(dir.join("exp.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn other_usage_errors_exit_1() {
+    let dir = tmp_dir("usage");
+    for args in [vec!["frobnicate"], vec!["init"], vec!["run", "x.json"]] {
+        let out = tifl(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
